@@ -18,7 +18,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: build test race fuzz fuzzsmoke querydiff bench benchjson benchgate fmtcheck vet lint lintjson lintbudget darlint serversmoke storagesmoke clustersmoke crashsuite verify
+.PHONY: build test race fuzz fuzzsmoke querydiff bench benchjson benchgate benchselftest fmtcheck vet lint lintjson lintbudget darlint serversmoke storagesmoke clustersmoke crashsuite verify
 
 build:
 	$(GO) build ./...
@@ -111,6 +111,12 @@ benchgate:
 	echo "benchgate: comparing $$base -> $(BENCHOUT)"; \
 	$(GO) run ./cmd/benchjson -compare "$$base" $(BENCHOUT)
 
+# The perfbench harness is its own module (perfbench/go.mod, replacing
+# repro with ../), so ./... above never reaches it. Run its self-tests
+# under the race detector and darlint over it, offline.
+benchselftest: darlint
+	cd perfbench && GOPROXY=off $(GO) test -race ./... && GOPROXY=off $(GO) vet -vettool=$(CURDIR)/$(BIN)/darlint ./...
+
 # End-to-end smoke of the dard daemon: build both binaries, start the
 # server on a loopback port, ingest the golden dataset over HTTP, query
 # it remotely and diff against the local CLI pipeline. Includes the
@@ -144,5 +150,6 @@ crashsuite:
 # race already runs the Ingest→Summary→Query differential tests (they
 # live in the ordinary test suite), so verify gates Query(Ingest(r)) ≡
 # Mine(r) under the race detector on every run, and storagesmoke gates
-# the durability story over the real binaries.
-verify: build fmtcheck vet lint lintbudget test race fuzzsmoke querydiff storagesmoke
+# the durability story over the real binaries; benchselftest gates the
+# perfbench module's own tests.
+verify: build fmtcheck vet lint lintbudget test race fuzzsmoke querydiff benchselftest storagesmoke

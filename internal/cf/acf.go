@@ -24,9 +24,8 @@ import (
 // order, then SS). Phase I maintains millions of these small dense vectors,
 // so the flat backing cuts the constructor to two allocations and keeps
 // AddRow/Merge on a single cache line per small group. The exported fields
-// keep their slice-of-slices shape, and every method also accepts ACFs with
-// independently allocated slices (gob decoding and struct literals produce
-// those), falling back to the per-group path.
+// keep their slice-of-slices shape for readers, but an ACF must come from
+// NewACF, NewACFTracked or Clone: the methods rely on the flat backing.
 type ACF struct {
 	// N is the number of tuples summarized.
 	N int64
@@ -46,18 +45,15 @@ type ACF struct {
 	// exactly. nil (or a nil slice) means the group is untracked.
 	NomCounts []map[string]int64
 
-	// flat is the shared backing array of LS and SS when the ACF was built
-	// by a constructor: all LS groups concatenated, then the SS values.
-	// nil for ACFs assembled field-by-field (gob, literals); such ACFs use
-	// the slower per-group paths but behave identically.
+	// flat is the shared backing array of LS and SS: all LS groups
+	// concatenated, then the SS values.
 	flat []float64
 	// uniform records that every group is one-dimensional (so the row
 	// index IS the group index), unlocking the tightest AddRow loop.
 	uniform bool
 	// ownOff caches the offset of the owning group's segment inside a
 	// flat projection row (Σ len(LS[g]) for g < Own), so the split
-	// AddRowOwn/AddRows kernels do not rescan the shape per call. Only
-	// valid on constructor-built ACFs; the loose paths re-derive it.
+	// AddRowOwn/AddRows kernels do not rescan the shape per call.
 	ownOff int
 }
 
@@ -214,24 +210,19 @@ func (a *ACF) AddTuple(proj [][]float64) {
 // allocation-free for already-seen values.
 func (a *ACF) AddRow(row []float64, it *Interner) {
 	a.N++
-	// Both arms accumulate straight into LS and SS[g], value by value,
-	// exactly like AddTuple: same operations in the same order keeps
-	// results bit-identical to the pre-flat code and the .acfsum goldens.
-	if a.flat != nil {
-		// Flat backing: the row layout coincides with the LS prefix of
-		// flat, so one fused pass updates LS in place and steps the group
-		// index for SS — no per-group slicing in the hot path. When every
-		// group is 1-D (singleton partitionings — the common case), the
-		// row index is the group index and the loop needs no stepping.
-		ls, ss := a.flat, a.SS
-		if a.uniform && len(row) == len(ss) {
-			for i, v := range row {
-				ls[i] += v
-				ss[i] += v * v
-			}
-			a.addRowHists(row, it)
-			return
+	// The row layout coincides with the LS prefix of flat, so one fused
+	// pass updates LS in place and steps the group index for SS — value
+	// by value, exactly like AddTuple, which keeps results bit-identical
+	// to the .acfsum goldens. When every group is 1-D (singleton
+	// partitionings — the common case), the row index is the group index
+	// and the loop needs no stepping.
+	ls, ss := a.flat, a.SS
+	if a.uniform && len(row) == len(ss) {
+		for i, v := range row {
+			ls[i] += v
+			ss[i] += v * v
 		}
+	} else {
 		g, end := 0, len(a.LS[0])
 		for i, v := range row {
 			for i >= end {
@@ -240,16 +231,6 @@ func (a *ACF) AddRow(row []float64, it *Interner) {
 			}
 			ls[i] += v
 			ss[g] += v * v
-		}
-	} else {
-		off := 0
-		for g, ls := range a.LS {
-			seg := row[off : off+len(ls)]
-			for i, v := range seg {
-				ls[i] += v
-				a.SS[g] += v * v
-			}
-			off += len(ls)
 		}
 	}
 	a.addRowHists(row, it)
@@ -275,20 +256,6 @@ func (a *ACF) addRowHists(row []float64, it *Interner) {
 	}
 }
 
-// rowOwnOff returns the offset of the owning group's segment inside a
-// flat projection row, using the cached value on constructor-built ACFs
-// and re-deriving it from the shape otherwise.
-func (a *ACF) rowOwnOff() int {
-	if a.flat != nil {
-		return a.ownOff
-	}
-	off := 0
-	for g := 0; g < a.Own; g++ {
-		off += len(a.LS[g])
-	}
-	return off
-}
-
 // AddRowOwn is the eager half of the split-row insert: it folds the
 // owning group's segment of the flat projection row — plus N and the
 // exact-value histograms — and nothing else. Everything the ACF-tree's
@@ -302,9 +269,8 @@ func (a *ACF) rowOwnOff() int {
 // and the histogram counts are integers.
 func (a *ACF) AddRowOwn(row []float64, it *Interner) {
 	a.N++
-	off := a.rowOwnOff()
 	ls := a.LS[a.Own]
-	seg := row[off : off+len(ls)]
+	seg := row[a.ownOff : a.ownOff+len(ls)]
 	ss := a.SS
 	for i, v := range seg {
 		ls[i] += v
@@ -322,56 +288,39 @@ func (a *ACF) AddRowOwn(row []float64, it *Interner) {
 // backing per row, no per-tuple layout checks. Pairs with AddRowOwn —
 // see there for the bit-identity argument.
 func (a *ACF) AddRows(rows []float64, stride, n int) {
-	o0 := a.rowOwnOff()
+	o0 := a.ownOff
 	o1 := o0 + len(a.LS[a.Own])
-	if a.flat != nil {
-		ls, ss := a.flat, a.SS
-		if a.uniform && stride == len(ss) {
-			// Uniform shape: the row index is the group index, so the
-			// own-group skip is a single hole in one fused LS/SS loop.
-			for r := 0; r < n; r++ {
-				row := rows[r*stride : (r+1)*stride]
-				for i, v := range row[:o0] {
-					ls[i] += v
-					ss[i] += v * v
-				}
-				for i := o1; i < stride; i++ {
-					v := row[i]
-					ls[i] += v
-					ss[i] += v * v
-				}
-			}
-			return
-		}
+	ls, ss := a.flat, a.SS
+	if a.uniform && stride == len(ss) {
+		// Uniform shape: the row index is the group index, so the
+		// own-group skip is a single hole in one fused LS/SS loop.
 		for r := 0; r < n; r++ {
 			row := rows[r*stride : (r+1)*stride]
-			g, end := 0, len(a.LS[0])
-			for i, v := range row {
-				for i >= end {
-					g++
-					end += len(a.LS[g])
-				}
-				if i >= o0 && i < o1 {
-					continue
-				}
+			for i, v := range row[:o0] {
 				ls[i] += v
-				ss[g] += v * v
+				ss[i] += v * v
+			}
+			for i := o1; i < stride; i++ {
+				v := row[i]
+				ls[i] += v
+				ss[i] += v * v
 			}
 		}
 		return
 	}
 	for r := 0; r < n; r++ {
 		row := rows[r*stride : (r+1)*stride]
-		off := 0
-		for g, ls := range a.LS {
-			if g != a.Own {
-				seg := row[off : off+len(ls)]
-				for i, v := range seg {
-					ls[i] += v
-					a.SS[g] += v * v
-				}
+		g, end := 0, len(a.LS[0])
+		for i, v := range row {
+			for i >= end {
+				g++
+				end += len(a.LS[g])
 			}
-			off += len(ls)
+			if i >= o0 && i < o1 {
+				continue
+			}
+			ls[i] += v
+			ss[g] += v * v
 		}
 	}
 }
@@ -397,25 +346,15 @@ func (a *ACF) Merge(o *ACF) {
 	if o.Own != a.Own {
 		panic(fmt.Sprintf("cf: merging ACF over group %d into group %d", o.Own, a.Own))
 	}
-	if len(o.LS) != len(a.LS) {
-		panic(fmt.Sprintf("cf: merging ACF with %d groups into %d", len(o.LS), len(a.LS)))
+	if len(o.LS) != len(a.LS) || len(o.flat) != len(a.flat) {
+		panic(fmt.Sprintf("cf: merging ACF of shape %d groups/%d sums into %d/%d",
+			len(o.LS), len(o.flat), len(a.LS), len(a.flat)))
 	}
 	a.N += o.N
-	if a.flat != nil && o.flat != nil && len(a.flat) == len(o.flat) {
-		// Both flat-backed: LS and SS add in one contiguous pass. The
-		// additions are the same elementwise operations as the per-group
-		// path, so the result is bit-identical.
-		for i, v := range o.flat {
-			a.flat[i] += v
-		}
-	} else {
-		for g := range a.LS {
-			a.SS[g] += o.SS[g]
-			ls, ols := a.LS[g], o.LS[g]
-			for i := range ls {
-				ls[i] += ols[i]
-			}
-		}
+	// LS and SS add in one contiguous pass over the flat backings: the
+	// same elementwise additions as a per-group walk, so bit-identical.
+	for i, v := range o.flat {
+		a.flat[i] += v
 	}
 	for g, hist := range a.NomCounts {
 		if hist == nil {
@@ -436,14 +375,10 @@ func (a *ACF) Merge(o *ACF) {
 	}
 }
 
-// Clone returns an independent deep copy (flat-backed regardless of the
-// source's layout).
+// Clone returns an independent deep copy.
 func (a *ACF) Clone() *ACF {
-	total := 0
-	for _, ls := range a.LS {
-		total += len(ls)
-	}
-	flat := make([]float64, total+len(a.LS))
+	flat := append([]float64(nil), a.flat...)
+	total := len(flat) - len(a.LS)
 	c := &ACF{
 		N:       a.N,
 		Own:     a.Own,
@@ -451,17 +386,13 @@ func (a *ACF) Clone() *ACF {
 		SS:      flat[total:],
 		flat:    flat,
 		uniform: a.uniform,
+		ownOff:  a.ownOff,
 	}
 	off := 0
 	for g, ls := range a.LS {
-		if g == a.Own {
-			c.ownOff = off
-		}
 		c.LS[g] = flat[off : off+len(ls) : off+len(ls)]
-		copy(c.LS[g], ls)
 		off += len(ls)
 	}
-	copy(c.SS, a.SS)
 	if a.NomCounts != nil {
 		c.NomCounts = make([]map[string]int64, len(a.NomCounts))
 		for g, hist := range a.NomCounts {
@@ -531,9 +462,8 @@ func (a *ACF) Diameter() float64 { return a.OwnSummary().Diameter() }
 
 // Bytes estimates the heap footprint for memory accounting: headers plus
 // every projection's backing array, plus the exact-value histograms when
-// tracking is enabled. The formula is kept independent of the physical
-// layout (flat-backed or per-group) so the estimate — and with it every
-// tree's rebuild schedule — is identical for both. Note cftree.Tree sizes
+// tracking is enabled. The formula predates the flat layout and is kept
+// as it was, so every tree's rebuild schedule is unchanged. Note cftree.Tree sizes
 // its per-entry budget from an untracked NewACF, so histogram growth
 // never changes the tree's rebuild schedule — tracked and untracked
 // ingests cluster identically.

@@ -181,6 +181,15 @@ func TestACFMergePanics(t *testing.T) {
 		}()
 		a.Merge(c)
 	}()
+	d := NewACF(Shape{1, 2}, 0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("no panic merging equal group counts of different dims")
+			}
+		}()
+		a.Merge(d)
+	}()
 }
 
 // ACF additivity (the extension of the Additivity Theorem claimed in §6.1):
@@ -369,24 +378,12 @@ func TestACFBytesTracksHistograms(t *testing.T) {
 	}
 }
 
-// The flat backing is an implementation detail: ACFs assembled
-// field-by-field (gob decoding produces those) must behave identically.
-func nonFlatACF(shape Shape, own int) *ACF {
-	a := &ACF{Own: own, LS: make([][]float64, len(shape)), SS: make([]float64, len(shape))}
-	for g, d := range shape {
-		a.LS[g] = make([]float64, d)
-	}
-	return a
-}
-
 func TestACFAddRowMatchesAddTuple(t *testing.T) {
 	shape := sampleShape()
 	rng := rand.New(rand.NewSource(11))
 	track := []bool{false, true, false}
 	byTuple := NewACFTracked(shape, 1, track)
-	byRowFlat := NewACFTracked(shape, 1, track)
-	byRowLoose := nonFlatACF(shape, 1)
-	byRowLoose.NomCounts = []map[string]int64{nil, {}, nil}
+	byRow := NewACFTracked(shape, 1, track)
 	it := NewInterner()
 	for i := 0; i < 50; i++ {
 		proj := randProj(rng, shape)
@@ -395,70 +392,38 @@ func TestACFAddRowMatchesAddTuple(t *testing.T) {
 			row = append(row, p...)
 		}
 		byTuple.AddTuple(proj)
-		byRowFlat.AddRow(row, it)
-		byRowLoose.AddRow(row, nil)
+		byRow.AddRow(row, it)
 	}
-	for _, got := range []*ACF{byRowFlat, byRowLoose} {
-		if got.N != byTuple.N {
-			t.Fatalf("N = %d, want %d", got.N, byTuple.N)
+	if byRow.N != byTuple.N {
+		t.Fatalf("N = %d, want %d", byRow.N, byTuple.N)
+	}
+	for g := range shape {
+		if byRow.SS[g] != byTuple.SS[g] {
+			t.Errorf("SS[%d] = %v, want %v", g, byRow.SS[g], byTuple.SS[g])
 		}
-		for g := range shape {
-			if got.SS[g] != byTuple.SS[g] {
-				t.Errorf("SS[%d] = %v, want %v", g, got.SS[g], byTuple.SS[g])
-			}
-			if !reflect.DeepEqual(got.LS[g], byTuple.LS[g]) {
-				t.Errorf("LS[%d] = %v, want %v", g, got.LS[g], byTuple.LS[g])
-			}
+		if !reflect.DeepEqual(byRow.LS[g], byTuple.LS[g]) {
+			t.Errorf("LS[%d] = %v, want %v", g, byRow.LS[g], byTuple.LS[g])
 		}
-		if !reflect.DeepEqual(got.NomCounts[1], byTuple.NomCounts[1]) {
-			t.Errorf("NomCounts = %v, want %v", got.NomCounts[1], byTuple.NomCounts[1])
-		}
+	}
+	if !reflect.DeepEqual(byRow.NomCounts[1], byTuple.NomCounts[1]) {
+		t.Errorf("NomCounts = %v, want %v", byRow.NomCounts[1], byTuple.NomCounts[1])
 	}
 	if it.Len() != len(byTuple.NomCounts[1]) {
 		t.Errorf("interner holds %d keys, histogram %d", it.Len(), len(byTuple.NomCounts[1]))
 	}
 }
 
-// Merge must produce bit-identical sums whichever side is flat-backed:
-// the flat fast path performs the same elementwise additions.
-func TestACFMergeFlatAndLooseBitIdentical(t *testing.T) {
-	shape := sampleShape()
-	rng := rand.New(rand.NewSource(7))
-	mkPair := func() (*ACF, *ACF) {
-		flat, loose := NewACF(shape, 0), nonFlatACF(shape, 0)
-		for i := 0; i < 20; i++ {
-			proj := randProj(rng, shape)
-			flat.AddTuple(proj)
-			loose.N++
-			for g, p := range proj {
-				for j, v := range p {
-					loose.LS[g][j] += v
-					loose.SS[g] += v * v
-				}
-			}
-		}
-		return flat, loose
-	}
-	af, al := mkPair()
-	bf, bl := mkPair()
-	af.Merge(bf) // flat into flat
-	al.Merge(bl) // loose into loose
-	cf := af.Clone()
-	cf.Merge(bl) // would double-count; only layout comparison below matters
-	for g := range shape {
-		if !reflect.DeepEqual(af.LS[g], al.LS[g]) || af.SS[g] != al.SS[g] {
-			t.Errorf("group %d: flat merge %v/%v != loose merge %v/%v",
-				g, af.LS[g], af.SS[g], al.LS[g], al.SS[g])
-		}
-	}
-}
-
 // Bytes must be a function of the logical shape only — the rebuild
-// schedule (entryBytes) and the .acfsum goldens depend on it.
+// schedule (entryBytes) and the .acfsum goldens depend on it. The pinned
+// figure is the formula's value for shape {2,1,3}: 88 bytes of header,
+// 24+8·dims per group projection, 8 per square sum.
 func TestACFBytesLayoutIndependent(t *testing.T) {
-	shape := sampleShape()
-	if got, want := NewACF(shape, 0).Bytes(), nonFlatACF(shape, 0).Bytes(); got != want {
-		t.Errorf("flat Bytes %d != loose Bytes %d", got, want)
+	a := NewACF(sampleShape(), 0)
+	if got := a.Bytes(); got != 232 {
+		t.Errorf("NewACF Bytes = %d, want 232", got)
+	}
+	if got := a.Clone().Bytes(); got != 232 {
+		t.Errorf("Clone Bytes = %d, want 232", got)
 	}
 }
 
@@ -508,9 +473,9 @@ func BenchmarkInternerKey(b *testing.B) {
 // The split-row kernels must compose to exactly AddRow: AddRowOwn folds
 // the own group (plus N and histograms) eagerly, AddRows applies the
 // deferred cross-group sums of a whole run, and every float cell ends up
-// bit-identical to the fused per-row path — across flat uniform, flat
-// non-uniform and loose layouts, tracked groups included, and for run
-// lengths above one.
+// bit-identical to the fused per-row path — across uniform and
+// non-uniform shapes, tracked groups included, and for run lengths above
+// one.
 func TestACFSplitRowMatchesAddRow(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -528,7 +493,6 @@ func TestACFSplitRowMatchesAddRow(t *testing.T) {
 			track[tc.own] = true
 			fused := NewACFTracked(tc.shape, tc.own, track)
 			split := NewACFTracked(tc.shape, tc.own, track)
-			loose := nonFlatACF(tc.shape, tc.own)
 			stride := tc.shape.Dims()
 			itF, itS := NewInterner(), NewInterner()
 			// Three runs of different lengths, each applied per-row to the
@@ -544,22 +508,18 @@ func TestACFSplitRowMatchesAddRow(t *testing.T) {
 					row := rows[r*stride : (r+1)*stride]
 					fused.AddRow(row, itF)
 					split.AddRowOwn(row, itS)
-					loose.AddRowOwn(row, nil)
 				}
 				split.AddRows(rows, stride, run)
-				loose.AddRows(rows, stride, run)
 			}
-			for _, got := range []*ACF{split, loose} {
-				if got.N != fused.N {
-					t.Fatalf("N = %d, want %d", got.N, fused.N)
+			if split.N != fused.N {
+				t.Fatalf("N = %d, want %d", split.N, fused.N)
+			}
+			for g := range tc.shape {
+				if split.SS[g] != fused.SS[g] {
+					t.Errorf("SS[%d] = %v, want %v", g, split.SS[g], fused.SS[g])
 				}
-				for g := range tc.shape {
-					if got.SS[g] != fused.SS[g] {
-						t.Errorf("SS[%d] = %v, want %v", g, got.SS[g], fused.SS[g])
-					}
-					if !reflect.DeepEqual(got.LS[g], fused.LS[g]) {
-						t.Errorf("LS[%d] = %v, want %v", g, got.LS[g], fused.LS[g])
-					}
+				if !reflect.DeepEqual(split.LS[g], fused.LS[g]) {
+					t.Errorf("LS[%d] = %v, want %v", g, split.LS[g], fused.LS[g])
 				}
 			}
 			if !reflect.DeepEqual(split.NomCounts[tc.own], fused.NomCounts[tc.own]) {

@@ -5,8 +5,8 @@
 // in a single pass over the data; when a configured memory budget is
 // exceeded, the diameter threshold is raised and the tree is rebuilt by
 // re-inserting leaf summaries (never rescanning data), optionally paging
-// low-support clusters out to an OutlierStore and re-absorbing them once
-// the scan completes (Sections 3 and 4.3.1).
+// low-support clusters out to an in-memory side list and re-absorbing
+// them once the scan completes (Sections 3 and 4.3.1).
 package cftree
 
 import (
@@ -38,12 +38,9 @@ type Config struct {
 	// unlimited.
 	MemoryLimit int
 	// OutlierN: during a rebuild, leaf entries with fewer than OutlierN
-	// tuples are paged out to Outliers instead of re-inserted. Zero
-	// disables paging.
+	// tuples are paged out to the tree's outlier list instead of
+	// re-inserted; Finish re-absorbs them. Zero disables paging.
 	OutlierN int64
-	// Outliers receives paged-out clusters. Required if OutlierN > 0;
-	// a MemoryOutlierStore is installed by default when nil.
-	Outliers OutlierStore
 	// MaxRebuilds bounds consecutive threshold raises while trying to
 	// satisfy MemoryLimit (safety valve). Defaults to 64.
 	MaxRebuilds int
@@ -66,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRebuilds <= 0 {
 		c.MaxRebuilds = 64
-	}
-	if c.OutlierN > 0 && c.Outliers == nil {
-		c.Outliers = NewMemoryOutlierStore()
 	}
 	return c
 }
@@ -103,8 +97,12 @@ type Tree struct {
 	rebuilds   int
 	paged      int
 	seen       int64
-	work       int64
 	rebuilding bool
+
+	// outliers holds the clusters paged out by rebuilds (Section 4.3.1:
+	// "small clusters (outliers) may be paged out"), kept in memory until
+	// Finish re-inserts them.
+	outliers []*cf.ACF
 
 	totalDims int   // Σ shape[g]
 	ownOff    int   // offset of the own group inside a flat row
@@ -297,14 +295,6 @@ func (t *Tree) InsertFlatBatch(rows []float64, n, stride int) {
 	t.lastEntry = nil
 }
 
-// Work returns a deterministic estimate of the insertion work the tree
-// has performed: centroid comparisons × own-group dims accumulated over
-// every descent (rebuild re-inserts included) plus the row width per
-// tuple. It is a pure function of the data and configuration — no
-// clocks — so the pipeline can use it to balance trees across lanes
-// without perturbing determinism.
-func (t *Tree) Work() int64 { return t.work }
-
 // insertACF re-inserts a cluster summary (rebuilds and outlier
 // re-absorption).
 func (t *Tree) insertACF(a *cf.ACF) {
@@ -325,13 +315,11 @@ func (t *Tree) insertTop(pl *payload) {
 	t.path = t.path[:0]
 	for !nd.leaf {
 		addSummary(nd.summary, pl.own)
-		t.work += int64(len(nd.children)) * int64(t.dims)
 		i, _ := nd.closestChild(pl.p)
 		t.path = append(t.path, pathStep{nd, i})
 		nd = nd.children[i]
 	}
 	addSummary(nd.summary, pl.own)
-	t.work += int64(len(nd.entries))*int64(t.dims) + int64(t.totalDims)
 	left, right := t.insertLeaf(nd, pl)
 
 	for k := len(t.path) - 1; k >= 0; k-- {
@@ -493,13 +481,9 @@ func (t *Tree) rebuild() {
 		kept := acfs[:0]
 		for _, a := range acfs {
 			if a.N < t.cfg.OutlierN {
-				// Put never fails for the in-memory store; a file-store
-				// failure leaves the cluster in the tree rather than
-				// losing data.
-				if err := t.cfg.Outliers.Put(a); err == nil {
-					t.paged++
-					continue
-				}
+				t.outliers = append(t.outliers, a)
+				t.paged++
+				continue
 			}
 			kept = append(kept, a)
 		}
@@ -573,12 +557,10 @@ func (t *Tree) nextThreshold() float64 {
 // wrongly categorized as outliers. Hence, outliers need to be re-inserted
 // into the complete tree") and returns every leaf cluster. After Finish
 // the tree remains usable for NearestCluster queries.
-func (t *Tree) Finish() ([]*cf.ACF, error) {
-	if t.cfg.Outliers != nil && t.cfg.Outliers.Len() > 0 {
-		acfs, err := t.cfg.Outliers.Drain()
-		if err != nil {
-			return nil, fmt.Errorf("cftree: draining outliers: %w", err)
-		}
+func (t *Tree) Finish() []*cf.ACF {
+	if len(t.outliers) > 0 {
+		acfs := t.outliers
+		t.outliers = nil
 		t.rebuilding = true // absorb without re-paging mid-stream
 		for _, a := range acfs {
 			t.insertACF(a)
@@ -587,7 +569,7 @@ func (t *Tree) Finish() ([]*cf.ACF, error) {
 		t.recount()
 		t.enforceMemory()
 	}
-	return t.root.collectLeaves(nil), nil
+	return t.root.collectLeaves(nil)
 }
 
 // Leaves returns the current leaf clusters without touching outliers.

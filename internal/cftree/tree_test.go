@@ -173,12 +173,10 @@ func TestOutlierPagingAndFinish(t *testing.T) {
 	// Two dense clusters plus isolated stragglers; a tight memory limit
 	// forces rebuilds that page the stragglers out. Finish must re-absorb
 	// them so no tuple is lost.
-	store := NewMemoryOutlierStore()
 	tr := New(cf.Shape{1}, 0, Config{
 		Threshold:   1,
 		MemoryLimit: 3 << 10,
 		OutlierN:    5,
-		Outliers:    store,
 	})
 	rng := rand.New(rand.NewSource(9))
 	n := 0
@@ -191,21 +189,13 @@ func TestOutlierPagingAndFinish(t *testing.T) {
 		tr.Insert(proj1d(rng.Float64() * 1e7))
 		n++
 	}
-	if tr.Stats().Rebuilds == 0 {
-		t.Fatal("test needs rebuilds to page outliers")
+	if tr.Stats().Rebuilds == 0 || len(tr.outliers) == 0 {
+		t.Fatal("test needs rebuilds that page outliers")
 	}
-	leaves, err := tr.Finish()
-	if err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	got := totalN(leaves)
+	got := totalN(tr.Finish())
 	// Finish may re-page confirmed outliers if absorbing them overflows
-	// the budget again; whatever remains in the store is still accounted.
-	rest, err := store.Drain()
-	if err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	got += totalN(rest)
+	// the budget again; whatever remains paged is still accounted.
+	got += totalN(tr.outliers)
 	if got != int64(n) {
 		t.Errorf("accounted N = %d, want %d", got, n)
 	}
@@ -242,9 +232,8 @@ func TestNearestClusterEmptyTree(t *testing.T) {
 func TestFinishWithoutOutliers(t *testing.T) {
 	tr := New(cf.Shape{1}, 0, Config{Threshold: 1})
 	tr.Insert(proj1d(1))
-	leaves, err := tr.Finish()
-	if err != nil || len(leaves) != 1 {
-		t.Errorf("Finish = %v, %v", leaves, err)
+	if leaves := tr.Finish(); len(leaves) != 1 {
+		t.Errorf("Finish = %v", leaves)
 	}
 }
 
@@ -255,12 +244,10 @@ func TestConservationProperty(t *testing.T) {
 	f := func(seed int64, limKB uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		limit := (int(limKB)%16 + 2) << 10
-		store := NewMemoryOutlierStore()
 		tr := New(cf.Shape{1, 1}, 0, Config{
 			Threshold:   0.1,
 			MemoryLimit: limit,
 			OutlierN:    3,
-			Outliers:    store,
 		})
 		n := rng.Intn(2000) + 100
 		var sumX, sumY float64
@@ -271,15 +258,7 @@ func TestConservationProperty(t *testing.T) {
 			sumY += y
 			tr.Insert(twoGroupProj(x, y))
 		}
-		leaves, err := tr.Finish()
-		if err != nil {
-			return false
-		}
-		rest, err := store.Drain()
-		if err != nil {
-			return false
-		}
-		all := append(leaves, rest...)
+		all := append(tr.Finish(), tr.outliers...)
 		if totalN(all) != int64(n) {
 			return false
 		}

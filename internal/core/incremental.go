@@ -52,21 +52,13 @@ func (im *IncrementalMiner) Seen() int { return im.ing.seen }
 // provenance — without consuming the stream. The summary is fully
 // decoupled (cloned), so it can be queried, serialized or merged while
 // ingestion continues.
-func (im *IncrementalMiner) Summary() (*summary.Summary, error) {
-	leaves, stats, err := im.ing.collect(false)
-	if err != nil {
-		return nil, err
-	}
-	return im.ing.summarize(leaves, stats), nil
+func (im *IncrementalMiner) Summary() *summary.Summary {
+	return im.ing.summarize(im.ing.collect(false))
 }
 
 // Snapshot mines the current summaries into a Result without consuming
 // the stream: further Add calls continue from the same state. The
 // frequency threshold applies relative to the tuples seen so far.
 func (im *IncrementalMiner) Snapshot() (*Result, error) {
-	s, err := im.Summary()
-	if err != nil {
-		return nil, err
-	}
-	return QuerySummary(s, im.opt.Query())
+	return QuerySummary(im.Summary(), im.opt.Query())
 }

@@ -90,7 +90,6 @@ func newIngester(part *relation.Partitioning, opt Options, track bool, expectTup
 		}
 		if opt.PageOutliers && expectTuples > 0 {
 			cfg.OutlierN = int64(opt.minSize(expectTuples))/4 + 1
-			cfg.Outliers = cftree.NewMemoryOutlierStore()
 		}
 		if track {
 			cfg.Track = ing.nominal
@@ -139,46 +138,10 @@ func (ing *ingester) add(tuple []float64) error {
 }
 
 // addSource scans an entire relation into the trees — one scan in every
-// mode, preserving the paper's single-scan IO property. Both paths run
-// tuples through the batched insert kernel (cftree.InsertFlatBatch),
-// which defers each tuple's cross-group sum updates into one contiguous
-// pass per same-cluster run. With Workers <= 1 the caller projects each
-// tuple once into a reused batch buffer and feeds all trees inline. With
-// more workers the scan becomes the load-balanced pipeline
-// (ingestPipeline): recycled batches fan out to per-lane tree workers,
-// lanes own deterministically assigned tree subsets, and spare workers
-// parallelize projection — every tree still sees every tuple in scan
-// order, so the result is bit-identical to the serial scan at any
-// worker count.
+// mode, preserving the paper's single-scan IO property — through the
+// batched Phase I pipeline (ingestPipeline). Every tree sees every tuple
+// in scan order, so the result is bit-identical at any worker count.
 func (ing *ingester) addSource(rel relation.Source) error {
-	if ing.opt.Workers <= 1 {
-		stride := len(ing.row)
-		rows := make([]float64, batchTuples*stride)
-		n := 0
-		flush := func() {
-			for g := range ing.trees {
-				ing.trees[g].InsertFlatBatch(rows, n, stride)
-			}
-			n = 0
-		}
-		err := rel.Scan(func(_ int, tuple []float64) error {
-			ing.projectRow(tuple, rows[n*stride:(n+1)*stride])
-			n++
-			if n == batchTuples {
-				flush()
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("core: phase I scan: %w", err)
-		}
-		if n > 0 {
-			flush()
-		}
-		ing.seen += rel.Len()
-		return nil
-	}
-
 	if err := ingestPipeline(rel, ing.opt.Workers, len(ing.row), ing.trees, ing.projectRow); err != nil {
 		return fmt.Errorf("core: phase I scan: %w", err)
 	}
@@ -190,16 +153,12 @@ func (ing *ingester) addSource(rel relation.Source) error {
 // routes through Tree.Finish — re-absorbing paged outliers and ending
 // the ingest — and hands back the trees' own ACFs; finish=false
 // snapshots via Tree.Leaves and clones, so the stream can continue.
-func (ing *ingester) collect(finish bool) ([][]*cf.ACF, []cftree.Stats, error) {
+func (ing *ingester) collect(finish bool) ([][]*cf.ACF, []cftree.Stats) {
 	leaves := make([][]*cf.ACF, len(ing.trees))
 	stats := make([]cftree.Stats, len(ing.trees))
 	for g, tr := range ing.trees {
 		if finish {
-			ls, err := tr.Finish()
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: finishing tree for group %d: %w", g, err)
-			}
-			leaves[g] = ls
+			leaves[g] = tr.Finish()
 		} else {
 			ls := tr.Leaves()
 			out := make([]*cf.ACF, len(ls))
@@ -210,7 +169,7 @@ func (ing *ingester) collect(finish bool) ([][]*cf.ACF, []cftree.Stats, error) {
 		}
 		stats[g] = tr.Stats()
 	}
-	return leaves, stats, nil
+	return leaves, stats
 }
 
 // summarize packages the trees' current contents, with provenance, into
@@ -315,9 +274,5 @@ func Ingest(rel relation.Source, part *relation.Partitioning, opt Options) (*sum
 	if err := ing.addSource(rel); err != nil {
 		return nil, err
 	}
-	leaves, stats, err := ing.collect(true)
-	if err != nil {
-		return nil, err
-	}
-	return ing.summarize(leaves, stats), nil
+	return ing.summarize(ing.collect(true)), nil
 }

@@ -81,23 +81,22 @@ type Options struct {
 	Branching    int
 	LeafCapacity int
 	// PageOutliers enables paging low-support clusters out of the trees
-	// during rebuilds (to in-memory stores) and re-absorbing them at the
-	// end of the scan, as in Section 4.3.1.
+	// during rebuilds (to an in-memory side list) and re-absorbing them
+	// at the end of the scan, as in Section 4.3.1.
 	PageOutliers bool
 
 	// Workers sets mining parallelism for both phases. 0 or 1 keeps the
-	// paper's fully serial execution. Higher values turn Phase I into a
-	// batched pipeline — the reader stage scans the relation ONCE,
-	// projects every tuple into a flat row, and broadcasts tuple batches
-	// over channels to tree-lane workers, each owning a deterministic
-	// stripe of the attribute-group trees — and fan Phase II out over
-	// the sanctioned pool: clustering-graph rows, maximal-clique roots,
-	// and per-clique assoc()/rule formation all run as independent tasks
+	// paper's fully serial execution. In Phase I, Workers is the number
+	// of worker goroutines applying trees — min(Workers, groups) lanes,
+	// each owning the fixed stripe of attribute-group trees g ≡ lane
+	// (mod lanes) — while the caller is the reader on top of them: it
+	// scans the relation ONCE, projects every tuple into a flat row and
+	// hands batches of rows to every lane. Phase II fans out over the
+	// sanctioned pool: clustering-graph rows, maximal-clique roots, and
+	// per-clique assoc()/rule formation all run as independent tasks
 	// whose results are merged in task order. The mined output —
 	// clusters, rules, degrees, supports, ordering — is bit-identical to
-	// the serial path at every worker count, and Phase I keeps the
-	// paper's single-scan IO behaviour in every mode (the old
-	// group-parallel mode re-read the relation once per group).
+	// the serial path at every worker count.
 	Workers int
 
 	// PostScan enables the optional post-processing pass of Section 6.2:

@@ -82,10 +82,7 @@ func (m *Miner) phaseI() ([]*Cluster, PhaseIStats, error) {
 	if err := ing.addSource(m.rel); err != nil {
 		return nil, PhaseIStats{}, err
 	}
-	leaves, treeStats, err := ing.collect(true)
-	if err != nil {
-		return nil, PhaseIStats{}, err
-	}
+	leaves, treeStats := ing.collect(true)
 
 	stats := PhaseIStats{TuplesScanned: n, PerTree: treeStats}
 	thresholds := make([]float64, len(treeStats))

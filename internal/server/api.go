@@ -5,8 +5,8 @@
 // and serves
 //
 //	POST /v1/ingest?name=N[&d0=…&memory=…&workers=…&groups=…]   CSV body → stored summary
-//	                (workers defaults to all cores; results are
-//	                bit-identical at any worker count)
+//	                (workers defaults to, and is capped at, all cores;
+//	                results are bit-identical at any worker count)
 //	POST /v1/ingest/shard?d0s=…[&memory=…&workers=…&groups=…]   CSV shard → .acfsum bytes (stateless; see shard.go)
 //	PUT  /v1/summaries/{name}                                   .acfsum body → installed artifact
 //	POST /v1/summaries/{name}/merge                             .acfsum shard body → merged artifact
@@ -34,8 +34,9 @@ import (
 // queryRequest is the JSON body of POST /v1/summaries/{name}/query.
 // Every field is optional; absent fields take the library defaults
 // (core.DefaultQueryOptions), so `{}` is the default query. Workers
-// only sets execution parallelism — results are bit-identical at any
-// count, which is why it is absent from the canonical cache key.
+// only sets execution parallelism, capped at GOMAXPROCS — results are
+// bit-identical at any count, which is why it is absent from the
+// canonical cache key.
 type queryRequest struct {
 	Metric            *string  `json:"metric,omitempty"`
 	FrequencyFraction *float64 `json:"frequencyFraction,omitempty"`
@@ -101,7 +102,7 @@ func (qr queryRequest) options() (core.QueryOptions, error) {
 	if qr.TopK != nil {
 		q.TopK = *qr.TopK
 	}
-	q.Workers = qr.Workers
+	q.Workers = clampWorkers(qr.Workers)
 	core.NormalizeGroupFilters(&q)
 	if err := q.Validate(); err != nil {
 		return q, err

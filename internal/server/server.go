@@ -256,6 +256,76 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (
 	return body, true
 }
 
+// clampWorkers caps a client-supplied worker count at the cores the
+// daemon runs on. Workers only sets execution parallelism — output is
+// bit-identical at any count, and the count is neither rendered nor part
+// of the cache key — so the cap never changes served bytes; it keeps one
+// request from starting a goroutine per task. Negative counts pass
+// through for the core validators to reject.
+func clampWorkers(workers int) int {
+	return min(workers, runtime.GOMAXPROCS(0))
+}
+
+// parseIngest parses what POST /v1/ingest and POST /v1/ingest/shard
+// share: the d0, memory and workers parameters, the CSV body (what names
+// it in the parse error) and ?groups=, into the relation, its
+// partitioning and the Phase I options. Thresholds are d0s when non-nil,
+// else d0, else derived from the data like `darminer ingest`. Absent
+// workers means "use the machine": the pipeline is bit-identical at any
+// worker count, so all cores changes latency only; ?workers=1 still
+// forces the serial path. On failure the 400/413 response is written
+// and ok is false.
+func (s *Server) parseIngest(w http.ResponseWriter, r *http.Request, d0s []float64, what string) (rel *relation.Relation, part *relation.Partitioning, opt core.Options, ok bool) {
+	params := r.URL.Query()
+	opt = core.DefaultOptions()
+	opt.Workers = runtime.GOMAXPROCS(0)
+	var err error
+	var d0 float64
+	if v := params.Get("d0"); v != "" {
+		if d0, err = strconv.ParseFloat(v, 64); err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad d0 %q: %v", v, err)
+			return nil, nil, opt, false
+		}
+	}
+	opt.DiameterThreshold = d0
+	if v := params.Get("memory"); v != "" {
+		if opt.MemoryLimit, err = strconv.Atoi(v); err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad memory %q: %v", v, err)
+			return nil, nil, opt, false
+		}
+	}
+	if v := params.Get("workers"); v != "" {
+		if opt.Workers, err = strconv.Atoi(v); err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad workers %q: %v", v, err)
+			return nil, nil, opt, false
+		}
+		opt.Workers = clampWorkers(opt.Workers)
+	}
+
+	body, ok := s.readBody(w, r, s.cfg.MaxIngestBytes)
+	if !ok {
+		return nil, nil, opt, false
+	}
+	if rel, err = relation.ReadCSV(bytes.NewReader(body)); err != nil {
+		s.writeError(w, http.StatusBadRequest, "parsing CSV %s: %v", what, err)
+		return nil, nil, opt, false
+	}
+	if part, err = relation.ParseGroupsSpec(rel.Schema(), params.Get("groups")); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, opt, false
+	}
+	switch {
+	case d0s != nil:
+		opt.DiameterThresholds = d0s
+	case d0 == 0:
+		if opt.DiameterThresholds, err = core.SuggestThresholds(rel, part, core.AdvisorOptions{}); err != nil {
+			s.writeError(w, http.StatusBadRequest, "deriving thresholds: %v", err)
+			return nil, nil, opt, false
+		}
+	}
+	return rel, part, opt, true
+}
+
 // pathName validates the {name} path segment.
 func (s *Server) pathName(w http.ResponseWriter, r *http.Request) (string, bool) {
 	name := r.PathValue("name")
@@ -278,58 +348,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "ingest needs ?name= matching %s", summaryName)
 		return
 	}
-	var d0 float64
-	var memory, workers int
-	var err error
-	if v := r.URL.Query().Get("d0"); v != "" {
-		if d0, err = strconv.ParseFloat(v, 64); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad d0 %q: %v", v, err)
-			return
-		}
-	}
-	if v := r.URL.Query().Get("memory"); v != "" {
-		if memory, err = strconv.Atoi(v); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad memory %q: %v", v, err)
-			return
-		}
-	}
-	// Absent workers means "use the machine": the parallel pipeline is
-	// bit-identical to serial at any worker count, so defaulting to all
-	// cores changes latency only. ?workers=1 still forces the serial path.
-	workers = runtime.GOMAXPROCS(0)
-	if v := r.URL.Query().Get("workers"); v != "" {
-		if workers, err = strconv.Atoi(v); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad workers %q: %v", v, err)
-			return
-		}
-	}
-
-	body, ok := s.readBody(w, r, s.cfg.MaxIngestBytes)
+	rel, part, opt, ok := s.parseIngest(w, r, nil, "relation")
 	if !ok {
 		return
-	}
-	rel, err := relation.ReadCSV(bytes.NewReader(body))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "parsing CSV relation: %v", err)
-		return
-	}
-	part, err := relation.ParseGroupsSpec(rel.Schema(), r.URL.Query().Get("groups"))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	opt := core.DefaultOptions()
-	opt.DiameterThreshold = d0
-	opt.MemoryLimit = memory
-	opt.Workers = workers
-	if d0 == 0 {
-		suggested, err := core.SuggestThresholds(rel, part, core.AdvisorOptions{})
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "deriving thresholds: %v", err)
-			return
-		}
-		opt.DiameterThresholds = suggested
 	}
 	sum, err := core.Ingest(rel, part, opt)
 	if err != nil {

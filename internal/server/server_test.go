@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -666,5 +667,54 @@ func TestIngestDefaultWorkers(t *testing.T) {
 	}
 	if got, want := string(stripDurations(def)), string(stripDurations(ser)); got != want {
 		t.Errorf("defaulted-workers ingest diverges from workers=1\ndefault:\n%s\nserial:\n%s", got, want)
+	}
+}
+
+// TestRequestWorkersClamped pins the cap on client-supplied worker
+// counts: POST /v1/ingest, POST /v1/ingest/shard and the query body all
+// parse a huge "workers" down to GOMAXPROCS, and the served bytes equal
+// a workers=1 request's — the count is execution parallelism only.
+func TestRequestWorkersClamped(t *testing.T) {
+	const huge = 1 << 20
+	cores := runtime.GOMAXPROCS(0)
+	if q, err := (queryRequest{Workers: huge}).options(); err != nil || q.Workers > cores {
+		t.Errorf("query options: Workers=%d err=%v, want <= %d", q.Workers, err, cores)
+	}
+	srv, ts := newTestServer(t, Config{})
+	csv := kitchenCSV()
+	for _, target := range []string{"/v1/ingest?name=x&workers=1048576", "/v1/ingest/shard?d0=2&workers=1048576"} {
+		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(csv))
+		rec := httptest.NewRecorder()
+		_, _, opt, ok := srv.parseIngest(rec, req, nil, "relation")
+		if !ok || opt.Workers > cores {
+			t.Errorf("%s: parsed Workers=%d ok=%v (status %d), want <= %d", target, opt.Workers, ok, rec.Code, cores)
+		}
+	}
+
+	postIngest(t, ts, "huge", "workers=1048576", csv)
+	postIngest(t, ts, "one", "workers=1", csv)
+	_, hugeAns := postQuery(t, ts, "huge", `{"workers": 1048576}`)
+	resp, oneAns := postQuery(t, ts, "one", `{"workers": 1}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d: %s", resp.StatusCode, oneAns)
+	}
+	if got, want := string(stripDurations(hugeAns)), string(stripDurations(oneAns)); got != want {
+		t.Errorf("workers=1048576 answer diverges from workers=1\nhuge:\n%s\none:\n%s", got, want)
+	}
+
+	shard := func(workers string) []byte {
+		resp, err := http.Post(ts.URL+"/v1/ingest/shard?d0=2&workers="+workers, "text/csv", bytes.NewReader(csv))
+		if err != nil {
+			t.Fatalf("POST shard: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard status %d: %s", resp.StatusCode, body)
+		}
+		return body
+	}
+	if !bytes.Equal(shard("1048576"), shard("1")) {
+		t.Error("workers=1048576 shard summary diverges from workers=1")
 	}
 }
