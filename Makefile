@@ -67,12 +67,15 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=30s ./internal/relation
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=30s ./internal/summary
 
-# A short .acfsum decoder fuzz under the race detector, cheap enough to
-# gate every CI run: Decode must never panic on hostile bytes, and
-# whatever it accepts must re-encode canonically.
+# Short decoder fuzzes under the race detector, cheap enough to gate
+# every CI run: the .acfsum Decode must never panic on hostile bytes and
+# must re-encode whatever it accepts canonically; the canonical query
+# key and dard's query request body must accept only valid options, each
+# naming exactly one cache key.
 fuzzsmoke:
 	$(GO) test -race -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/summary
 	$(GO) test -race -run='^$$' -fuzz=FuzzQueryOptions -fuzztime=10s ./internal/core
+	$(GO) test -race -run='^$$' -fuzz=FuzzQueryBody -fuzztime=10s ./internal/server
 
 # The query-mode differential suite under the race detector: fused
 # engine output (measures, filters, sweeps, top-k, diffs) must equal

@@ -123,7 +123,7 @@ func BenchmarkScalingPhaseI(b *testing.B) {
 // identify cliques was roughly constant"): graph + cliques + rules over
 // the frequent-cluster summaries, reported per mining run. The workers
 // series contrasts the serial path with the parallel fan-out over graph
-// rows, clique roots and clique pairs — the rule set is bit-identical
+// rows and antecedent cliques — the rule set is bit-identical
 // at every worker count (asserted by TestParallelPhaseIIMatchesSerial),
 // so phase2-ns is the only number that should move, and only on
 // multi-core hardware.

@@ -73,7 +73,7 @@ func main() {
 	flag.Float64Var(&cfg.minsup, "minsup", 0.03, "frequency threshold s0 as a fraction of the relation")
 	flag.Float64Var(&cfg.degree, "degree", 1, "degree-of-association factor (rules must satisfy degree <= factor; lower is stricter)")
 	flag.Float64Var(&cfg.minconf, "minconf", 0.6, "minimum confidence (qar and sa96 modes)")
-	flag.StringVar(&cfg.metric, "metric", "D2", "cluster metric: D0, D1 or D2")
+	flag.StringVar(&cfg.metric, "metric", "D2", "cluster metric: D0, D1, D2, D3 or D4")
 	flag.IntVar(&cfg.memory, "memory", 0, "Phase I memory budget in bytes (0 = unlimited; the paper used 5MB)")
 	flag.IntVar(&cfg.nparts, "partitions", 10, "equi-depth partitions per attribute (sa96 mode)")
 	flag.IntVar(&cfg.top, "top", 50, "print at most this many rules (0 = all)")

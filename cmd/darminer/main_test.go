@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -115,6 +117,27 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(&buf, path, runConfig{algo: "dar", d0: 1, minsup: 0.1, degree: 1, minconf: 0.6, metric: "D9", memory: 0, nparts: 10, top: 0, asJSON: false}); err == nil {
 		t.Error("unknown metric accepted")
+	}
+}
+
+// TestMainRejectsNaNDegree runs the real entry point in a child process:
+// `darminer -degree NaN data.csv` must exit non-zero with the validator's
+// message rather than print an empty rule list.
+func TestMainRejectsNaNDegree(t *testing.T) {
+	if args := os.Getenv("DARMINER_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"darminer"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMainRejectsNaNDegree$")
+	cmd.Env = append(os.Environ(), "DARMINER_TEST_ARGS=-d0 2000 -degree NaN "+writeTestCSV(t))
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("darminer -degree NaN: err %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "DegreeFactor") {
+		t.Errorf("darminer -degree NaN printed no DegreeFactor error:\n%s", out)
 	}
 }
 

@@ -2,7 +2,10 @@
 // a running dard server (cmd/dard) for the rules of a catalog summary
 // instead of decoding a local .acfsum file. The server renders exactly
 // the bytes the local path would, so -json output is interchangeable
-// between the two modes. The HTTP plumbing lives in pkg/client — the
+// between the two modes. The request body is the QueryOptions the local
+// path would run, as JSON: one options builder serves both paths, so the
+// remote path rejects exactly what the local one does and ships the same
+// normalized filters. The HTTP plumbing lives in pkg/client — the
 // same typed client the darc cluster coordinator dispatches shards
 // through.
 package main
@@ -18,41 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/pkg/client"
 )
-
-// remoteQueryBody mirrors the server's query request document.
-type remoteQueryBody struct {
-	Metric            string    `json:"metric"`
-	FrequencyFraction float64   `json:"frequencyFraction"`
-	DegreeFactor      float64   `json:"degreeFactor"`
-	Measures          bool      `json:"measures,omitempty"`
-	AntecedentGroups  []string  `json:"antecedentGroups,omitempty"`
-	ConsequentGroups  []string  `json:"consequentGroups,omitempty"`
-	SweepFactors      []float64 `json:"sweepFactors,omitempty"`
-	TopK              int       `json:"topK,omitempty"`
-	Workers           int       `json:"workers,omitempty"`
-}
-
-// remoteBody resolves the flag values into the request document. The
-// same local options builder does the parsing, so the remote path
-// rejects exactly what the local one does and ships the same
-// normalized filters.
-func remoteBody(cfg queryConfig) ([]byte, error) {
-	q, err := cfg.options()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(remoteQueryBody{
-		Metric:            cfg.metric,
-		FrequencyFraction: cfg.minsup,
-		DegreeFactor:      cfg.degree,
-		Measures:          q.Measures,
-		AntecedentGroups:  q.AntecedentGroups,
-		ConsequentGroups:  q.ConsequentGroups,
-		SweepFactors:      q.SweepFactors,
-		TopK:              q.TopK,
-		Workers:           q.Workers,
-	})
-}
 
 // newRemoteClient validates the -addr flag into a typed client.
 func newRemoteClient(addr string) (*client.Client, error) {
@@ -71,7 +39,11 @@ func runRemoteQuery(w io.Writer, addr, name string, cfg queryConfig) error {
 	if err != nil {
 		return err
 	}
-	body, err := remoteBody(cfg)
+	q, err := cfg.options()
+	if err != nil {
+		return err
+	}
+	body, err := json.Marshal(q)
 	if err != nil {
 		return err
 	}
@@ -113,7 +85,11 @@ func runRemoteDiff(w io.Writer, addr, oldName, newName string, cfg queryConfig) 
 	if err != nil {
 		return err
 	}
-	body, err := remoteBody(cfg)
+	q, err := cfg.options()
+	if err != nil {
+		return err
+	}
+	body, err := json.Marshal(q)
 	if err != nil {
 		return err
 	}

@@ -68,7 +68,7 @@ type queryConfig struct {
 func (cfg *queryConfig) modeFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&cfg.minsup, "minsup", 0.03, "frequency threshold s0 as a fraction of the ingested relation")
 	fs.Float64Var(&cfg.degree, "degree", 1, "degree-of-association factor (rules must satisfy degree <= factor)")
-	fs.StringVar(&cfg.metric, "metric", "D2", "cluster metric: D0, D1 or D2")
+	fs.StringVar(&cfg.metric, "metric", "D2", "cluster metric: D0, D1, D2, D3 or D4")
 	fs.IntVar(&cfg.workers, "workers", 1, "worker goroutines (output is identical at any count)")
 	fs.BoolVar(&cfg.measures, "measures", false, "annotate every rule with interestingness measures (support bound, confidence, lift, conviction)")
 	fs.IntVar(&cfg.topk, "topk", 0, "keep only the K strongest rules, after filters (0 = all); ties cannot arise — the rule order is total")

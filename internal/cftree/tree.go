@@ -555,19 +555,22 @@ func (t *Tree) nextThreshold() float64 {
 
 // Finish re-absorbs paged-out outliers (Section 4.3.1: clusters "may be
 // wrongly categorized as outliers. Hence, outliers need to be re-inserted
-// into the complete tree") and returns every leaf cluster. After Finish
-// the tree remains usable for NearestCluster queries.
+// into the complete tree") and returns every leaf cluster, so the leaf
+// N values sum to the number of inserts. The outliers are absorbed with
+// the memory budget lifted: they were resident in the side list all
+// along, and a rebuild here would only page them out again with nothing
+// left to re-absorb them. After Finish the tree remains usable for
+// NearestCluster queries.
 func (t *Tree) Finish() []*cf.ACF {
 	if len(t.outliers) > 0 {
 		acfs := t.outliers
 		t.outliers = nil
-		t.rebuilding = true // absorb without re-paging mid-stream
+		t.rebuilding = true // absorb without re-paging
 		for _, a := range acfs {
 			t.insertACF(a)
 		}
 		t.rebuilding = false
 		t.recount()
-		t.enforceMemory()
 	}
 	return t.root.collectLeaves(nil)
 }

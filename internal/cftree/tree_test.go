@@ -193,11 +193,11 @@ func TestOutlierPagingAndFinish(t *testing.T) {
 		t.Fatal("test needs rebuilds that page outliers")
 	}
 	got := totalN(tr.Finish())
-	// Finish may re-page confirmed outliers if absorbing them overflows
-	// the budget again; whatever remains paged is still accounted.
-	got += totalN(tr.outliers)
 	if got != int64(n) {
-		t.Errorf("accounted N = %d, want %d", got, n)
+		t.Errorf("leaf N = %d, want %d", got, n)
+	}
+	if len(tr.outliers) != 0 {
+		t.Errorf("%d outliers left paged after Finish", len(tr.outliers))
 	}
 }
 
@@ -238,7 +238,7 @@ func TestFinishWithoutOutliers(t *testing.T) {
 }
 
 // Conservation property: for any insert sequence and any (small) memory
-// limit, the sum of leaf N values plus paged outliers equals the number of
+// limit, the sum of the leaf N values Finish returns equals the number of
 // inserts, and per-group LS totals are preserved.
 func TestConservationProperty(t *testing.T) {
 	f := func(seed int64, limKB uint8) bool {
@@ -258,7 +258,7 @@ func TestConservationProperty(t *testing.T) {
 			sumY += y
 			tr.Insert(twoGroupProj(x, y))
 		}
-		all := append(tr.Finish(), tr.outliers...)
+		all := tr.Finish()
 		if totalN(all) != int64(n) {
 			return false
 		}

@@ -82,11 +82,6 @@ func writeFloatList(b *strings.Builder, fs []float64) {
 	b.WriteByte(']')
 }
 
-// Validate checks the per-query invariants without running a query —
-// the serving layer rejects bad options at the HTTP boundary before
-// touching a summary.
-func (q QueryOptions) Validate() error { return q.validate() }
-
 // ParseCanonicalKey parses a string produced by CanonicalKey back into
 // the QueryOptions it came from (Workers, excluded from the key, comes
 // back zero) and validates the result. Parsing is strict — every field

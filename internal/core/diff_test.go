@@ -72,7 +72,7 @@ func TestDiffRulesDrift(t *testing.T) {
 		t.Fatalf("copy: %v", err)
 	}
 
-	q := plantedOptions().Query()
+	q := plantedOptions().QueryOptions
 	oldRes, or, op := diffSummary(t, oldRel, q)
 	newRes, nr, np := diffSummary(t, newRel, q)
 	d := DiffRules(oldRes, newRes, or, nr, op, np)
@@ -178,7 +178,7 @@ func TestDiffRulesDictionaryOrderIndependence(t *testing.T) {
 		return r
 	}
 
-	q := plantedOptions().Query()
+	q := plantedOptions().QueryOptions
 	aRes, ar, ap := diffSummary(t, build(false), q)
 	bRes, br, bp := diffSummary(t, build(true), q)
 	if len(aRes.Rules) == 0 {

@@ -1,179 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/cf"
-	"repro/internal/distance"
 	"repro/internal/summary"
 )
-
-// ErrBadQuery marks query options (or option/summary combinations, like
-// a filter naming a group the summary does not have) that can never
-// produce a result. Every validation failure wraps it, so serving
-// layers can map the whole class onto one client-error status.
-var ErrBadQuery = errors.New("invalid query")
-
-// QueryOptions are the per-query knobs of Phase II: everything that can
-// change between two queries over the same Summary without rescanning
-// the relation. Ingest-time parameters (diameter thresholds, memory
-// budget, tree geometry) live in Options and are recorded in the
-// Summary's provenance. The zero value is not valid; start from
-// DefaultQueryOptions or derive from mining options with Options.Query.
-type QueryOptions struct {
-	// Metric is the cluster distance D for graph edges and rule degrees.
-	Metric distance.ClusterMetric
-	// FrequencyFraction and MinClusterSize set the s0 frequency floor,
-	// exactly as in Options.
-	FrequencyFraction float64
-	MinClusterSize    int
-	// DegreeFactor and GraphFactor scale the rule-degree and graph-edge
-	// thresholds (Dfn 5.3, Dfn 6.1).
-	DegreeFactor float64
-	GraphFactor  float64
-	// MaxAntecedent and MaxConsequent bound rule arity.
-	MaxAntecedent int
-	MaxConsequent int
-	// GlobalRefine applies BIRCH's agglomerative repair pass to each
-	// group's clusters (bounded by the group's recorded threshold)
-	// before frequency filtering.
-	GlobalRefine bool
-	// PruneImages enables the Section 6.2 graph reduction (exact under
-	// D2).
-	PruneImages bool
-	// Measures annotates every emitted rule with the summary-derived
-	// interestingness measures of RuleMeasures (support estimate,
-	// confidence analogue, lift, conviction). Pure post-processing over
-	// the base rule set: the annotated rules are otherwise identical.
-	Measures bool
-	// AntecedentGroups, when non-empty, keeps only rules whose
-	// antecedents cover every named attribute group (possibly among
-	// others). Names must be sorted ascending without duplicates
-	// (NormalizeGroupFilters arranges that) and are resolved against the
-	// summary's partitioning at query time.
-	AntecedentGroups []string
-	// ConsequentGroups, when non-empty, keeps only rules whose
-	// consequents all lie on the named groups — the paper's
-	// target-attribute use case ("rules predicting salary only").
-	// Same ordering contract as AntecedentGroups.
-	ConsequentGroups []string
-	// SweepFactors asks for a degree-factor sweep: for each factor f —
-	// strictly ascending, each within (0, DegreeFactor] so the counts
-	// are exact — Result.Sweep reports how many of the (filtered) rules
-	// hold at degree factor f. One mining pass serves the whole sweep:
-	// a rule of degree d holds for every factor >= d.
-	SweepFactors []float64
-	// TopK, when > 0, keeps only the K strongest rules under the total
-	// order (Degree asc, then Antecedent, then Consequent lexicographic
-	// — unique because (antecedent, consequent) pairs are deduplicated).
-	// Applied after filters; Sweep counts are taken before truncation.
-	TopK int
-	// Workers parallelizes the query; output is bit-identical at any
-	// worker count, so it is deliberately excluded from the canonical
-	// key — two queries differing only in Workers share a cache entry.
-	Workers int //lint:allow keycoverage execution-only knob; results are bit-identical at any worker count
-}
-
-// DefaultQueryOptions mirrors DefaultOptions' Phase II settings.
-func DefaultQueryOptions() QueryOptions { return DefaultOptions().Query() }
-
-// Query projects the mining options onto their per-query subset, so a
-// Summary can be queried with the exact Phase II configuration a batch
-// Mine would have used.
-func (o Options) Query() QueryOptions {
-	return QueryOptions{
-		Metric:            o.Metric,
-		FrequencyFraction: o.FrequencyFraction,
-		MinClusterSize:    o.MinClusterSize,
-		DegreeFactor:      o.DegreeFactor,
-		GraphFactor:       o.GraphFactor,
-		MaxAntecedent:     o.MaxAntecedent,
-		MaxConsequent:     o.MaxConsequent,
-		GlobalRefine:      o.GlobalRefine,
-		PruneImages:       o.PruneImages,
-		Workers:           o.Workers,
-	}
-}
-
-func (q QueryOptions) validate() error {
-	if q.Metric < distance.D0 || q.Metric > distance.D4 {
-		return fmt.Errorf("core: unknown cluster metric %d: %w", int(q.Metric), ErrBadQuery)
-	}
-	if math.IsNaN(q.FrequencyFraction) || q.FrequencyFraction < 0 || q.FrequencyFraction > 1 {
-		return fmt.Errorf("core: FrequencyFraction must be in [0,1], got %v: %w", q.FrequencyFraction, ErrBadQuery)
-	}
-	if q.MinClusterSize < 0 {
-		return fmt.Errorf("core: MinClusterSize must be >= 0, got %d: %w", q.MinClusterSize, ErrBadQuery)
-	}
-	if math.IsNaN(q.DegreeFactor) || math.IsInf(q.DegreeFactor, 0) || q.DegreeFactor <= 0 {
-		return fmt.Errorf("core: DegreeFactor must be a finite value > 0, got %v: %w", q.DegreeFactor, ErrBadQuery)
-	}
-	if math.IsNaN(q.GraphFactor) || math.IsInf(q.GraphFactor, 0) || q.GraphFactor <= 0 {
-		return fmt.Errorf("core: GraphFactor must be a finite value > 0, got %v: %w", q.GraphFactor, ErrBadQuery)
-	}
-	if q.MaxAntecedent < 1 || q.MaxConsequent < 1 {
-		return fmt.Errorf("core: MaxAntecedent and MaxConsequent must be >= 1, got %d and %d: %w", q.MaxAntecedent, q.MaxConsequent, ErrBadQuery)
-	}
-	if q.TopK < 0 {
-		return fmt.Errorf("core: TopK must be >= 0, got %d: %w", q.TopK, ErrBadQuery)
-	}
-	if err := validateGroupFilter("AntecedentGroups", q.AntecedentGroups); err != nil {
-		return err
-	}
-	if err := validateGroupFilter("ConsequentGroups", q.ConsequentGroups); err != nil {
-		return err
-	}
-	for i, f := range q.SweepFactors {
-		if math.IsNaN(f) || f <= 0 {
-			return fmt.Errorf("core: SweepFactors[%d] must be a finite value > 0, got %v: %w", i, f, ErrBadQuery)
-		}
-		if f > q.DegreeFactor {
-			return fmt.Errorf("core: SweepFactors[%d] = %v exceeds DegreeFactor %v; rules above it are never formed, so the sweep count would be wrong: %w", i, f, q.DegreeFactor, ErrBadQuery)
-		}
-		if i > 0 && f <= q.SweepFactors[i-1] {
-			return fmt.Errorf("core: SweepFactors must be strictly ascending, got %v then %v: %w", q.SweepFactors[i-1], f, ErrBadQuery)
-		}
-	}
-	if q.Workers < 0 {
-		return fmt.Errorf("core: Workers must be >= 0, got %d: %w", q.Workers, ErrBadQuery)
-	}
-	return nil
-}
-
-// validateGroupFilter checks the ordering contract of a group-name
-// filter: names are non-empty, sorted ascending, duplicate-free — the
-// canonical form NormalizeGroupFilters produces, and the only form the
-// canonical cache key admits (two spellings of one filter must not
-// occupy two cache entries).
-func validateGroupFilter(field string, names []string) error {
-	for i, n := range names {
-		if n == "" {
-			return fmt.Errorf("core: %s[%d] is empty: %w", field, i, ErrBadQuery)
-		}
-		if i > 0 && names[i-1] >= n {
-			return fmt.Errorf("core: %s must be sorted ascending without duplicates (got %q before %q); use NormalizeGroupFilters: %w", field, names[i-1], n, ErrBadQuery)
-		}
-	}
-	return nil
-}
-
-// minSize is Options.minSize for the query-side options.
-func (q QueryOptions) minSize(n int) int {
-	s := q.MinClusterSize
-	if s == 0 {
-		s = int(q.FrequencyFraction * float64(n))
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-func (q QueryOptions) effectiveWorkers(tasks int) int {
-	return clampWorkers(q.Workers, tasks)
-}
 
 // ruleEngine is Phase II as a pure function of (clusters, options,
 // per-group d0): the clustering graph of Dfn 6.1, maximal cliques,

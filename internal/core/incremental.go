@@ -60,5 +60,5 @@ func (im *IncrementalMiner) Summary() *summary.Summary {
 // the stream: further Add calls continue from the same state. The
 // frequency threshold applies relative to the tuples seen so far.
 func (im *IncrementalMiner) Snapshot() (*Result, error) {
-	return QuerySummary(im.Summary(), im.opt.Query())
+	return QuerySummary(im.Summary(), im.opt.QueryOptions)
 }

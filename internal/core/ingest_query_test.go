@@ -67,7 +67,7 @@ func TestQueryIngestMatchesMine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d Ingest: %v", w, err)
 		}
-		queried, err := QuerySummary(s, opt.Query())
+		queried, err := QuerySummary(s, opt.QueryOptions)
 		if err != nil {
 			t.Fatalf("workers=%d QuerySummary: %v", w, err)
 		}
@@ -88,7 +88,7 @@ func TestQueryIngestMatchesMine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d Decode: %v", w, err)
 		}
-		requeried, err := QuerySummary(dec, opt.Query())
+		requeried, err := QuerySummary(dec, opt.QueryOptions)
 		if err != nil {
 			t.Fatalf("workers=%d QuerySummary(decoded): %v", w, err)
 		}
@@ -137,7 +137,7 @@ func TestShardedMergeMatchesSinglePass(t *testing.T) {
 
 	opt := plantedOptions()
 	opt.PostScan = false
-	q := opt.Query()
+	q := opt.QueryOptions
 	q.GlobalRefine = true // re-join the per-shard interval clusters
 
 	// Single pass over the concatenation, in shard order.
@@ -252,7 +252,7 @@ func TestQueryNominalMatchesPostScanMine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	queried, err := QuerySummary(s, qopt.Query())
+	queried, err := QuerySummary(s, qopt.QueryOptions)
 	if err != nil {
 		t.Fatalf("QuerySummary: %v", err)
 	}
@@ -361,7 +361,7 @@ func TestQueryOptionsVary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Mine: %v", v.name, err)
 		}
-		queried, err := QuerySummary(s, opt.Query())
+		queried, err := QuerySummary(s, opt.QueryOptions)
 		if err != nil {
 			t.Fatalf("%s: QuerySummary: %v", v.name, err)
 		}

@@ -114,7 +114,7 @@ func TestSupportCountsAreExact(t *testing.T) {
 	if len(res.Rules) == 0 {
 		t.Fatal("no rules")
 	}
-	nominal := m.nominalGroups()
+	nominal := nominalGroupsOf(m.part)
 	asn := newAssigner(part, res.Clusters, m.membershipCaps(nominal))
 	for _, r := range res.Rules {
 		var count int64

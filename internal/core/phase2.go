@@ -33,10 +33,12 @@ type PhaseIIStats struct {
 }
 
 // run builds the clustering graph over the frequent clusters, finds
-// maximal cliques, and emits DARs. All three stages fan out over
-// QueryOptions.Workers — graph rows, clique roots and clique pairs are
+// maximal cliques, and emits DARs. Graph rows and rule formation fan out
+// over QueryOptions.Workers — rows and antecedent cliques are
 // independent subproblems — and each stage merges its per-task results
-// in task order, so the output is bit-identical to the serial path.
+// in task order, so the output is bit-identical at every worker count.
+// Clique enumeration stays serial: it is a small fraction of Phase II,
+// and fanning its roots out measured slower at every size.
 func (e *ruleEngine) run(clusters []*Cluster, nominal []bool, co cooccurrence) ([]Rule, PhaseIIStats) {
 	start := time.Now()
 	var st PhaseIIStats
@@ -46,7 +48,7 @@ func (e *ruleEngine) run(clusters []*Cluster, nominal []bool, co cooccurrence) (
 	st.GraphNodes, st.GraphEdges = g.N(), g.Edges()
 
 	cliqueStart := time.Now()
-	cliques := g.MaximalCliquesParallel(st.Workers)
+	cliques := g.MaximalCliques()
 	st.CliqueDuration = time.Since(cliqueStart)
 	st.Cliques = len(cliques)
 	for _, c := range cliques {
@@ -200,55 +202,41 @@ func (e *ruleEngine) pairDist(a, b *Cluster, g int, nominal []bool) float64 {
 	return e.opt.Metric.Between(a.Image(g), b.Image(g))
 }
 
-// candidateRule is a rule before support counting.
-type candidateRule struct {
-	ante, cons []int
-	degree     float64
-}
-
 // rulesFromCliques implements Section 6.2's rule formation: for every
 // pair of cliques (Q1 antecedent side, Q2 consequent side — including
 // Q1 = Q2, whose split rules Dfn 5.3 equally admits), compute
 // assoc(C_Yj) = {C_Xi : D(C_Yj[Yj], C_Xi[Yj]) <= D0^Yj} and emit
 // C_X' ⇒ C_Y' for every C_Y' ⊆ Q2 and C_X' ⊆ ∩ assoc, with attribute
 // groups disjoint across the rule and arity bounded by the options.
-// Parallel runs fan the antecedent cliques out over the worker pool:
-// each Q1 enumerates all Q2 with a task-local dedup map, and the
-// per-task rule lists are merged in Q1 order under a global dedup.
-// A duplicate (antecedent, consequent) pair carries the same degree
+// Each antecedent clique Q1 is one task over the worker pool (inline at
+// one worker): it enumerates all Q2 with a task-local dedup map, and the
+// per-task rule lists are merged in Q1 order under a global dedup. A
+// duplicate (antecedent, consequent) pair carries the same degree
 // wherever it is discovered — the distances depend only on the cluster
 // sets, not on the clique pair that surfaced them — so first-wins
-// merging yields the serial rule set exactly.
+// merging yields the same rule set at every worker count.
 func (e *ruleEngine) rulesFromCliques(clusters []*Cluster, cliques [][]int, nominal []bool, co cooccurrence) []Rule {
-	var out []Rule
-	workers := e.opt.effectiveWorkers(len(cliques))
-	if workers <= 1 {
-		seen := make(map[string]bool)
-		for qi := 0; qi < len(cliques); qi++ {
-			for qj := 0; qj < len(cliques); qj++ {
-				e.rulesFromCliquePair(clusters, cliques[qi], cliques[qj], nominal, co, seen, &out)
-			}
+	perQ1 := make([]ruleSet, len(cliques))
+	parallelFor(e.opt.effectiveWorkers(len(cliques)), len(cliques), func(qi int) {
+		rs := &perQ1[qi]
+		for qj := 0; qj < len(cliques); qj++ {
+			e.rulesFromCliquePair(clusters, cliques[qi], cliques[qj], nominal, co, rs)
 		}
-	} else {
-		perQ1 := make([][]Rule, len(cliques))
-		parallelFor(workers, len(cliques), func(qi int) {
-			local := make(map[string]bool)
-			var rules []Rule
-			for qj := 0; qj < len(cliques); qj++ {
-				e.rulesFromCliquePair(clusters, cliques[qi], cliques[qj], nominal, co, local, &rules)
+		rs.seen = nil // the keys travel with the rules; free the map now
+	})
+	total := 0
+	for _, rs := range perQ1 {
+		total += len(rs.rules)
+	}
+	out := make([]Rule, 0, total)
+	seen := make(map[string]bool, total)
+	for _, rs := range perQ1 {
+		for _, r := range rs.rules {
+			if seen[r.key] {
+				continue
 			}
-			perQ1[qi] = rules
-		})
-		seen := make(map[string]bool)
-		for _, rules := range perQ1 {
-			for _, r := range rules {
-				key := ruleKey(r.Antecedent, r.Consequent)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				out = append(out, r)
-			}
+			seen[r.key] = true
+			out = append(out, r.Rule)
 		}
 	}
 
@@ -264,7 +252,41 @@ func (e *ruleEngine) rulesFromCliques(clusters []*Cluster, cliques [][]int, nomi
 	return out
 }
 
-func (e *ruleEngine) rulesFromCliquePair(clusters []*Cluster, q1, q2 []int, nominal []bool, co cooccurrence, seen map[string]bool, out *[]Rule) {
+// ruleSet is one rule-formation task's output: its rules in discovery
+// order, each with its ruleKey so the merge across tasks dedups without
+// re-deriving it.
+type ruleSet struct {
+	rules []keyedRule
+	seen  map[string]bool // keys of rules, for the task-local dedup
+	buf   []byte          // ruleKey scratch
+}
+
+type keyedRule struct {
+	key string
+	Rule
+}
+
+// add records ante ⇒ cons unless the task already formed it. The key is
+// built in a reused buffer and only turned into a string for a new rule.
+func (rs *ruleSet) add(ante, cons []int, degree float64) {
+	rs.buf = appendRuleKey(rs.buf[:0], ante, cons)
+	if rs.seen[string(rs.buf)] {
+		return
+	}
+	if rs.seen == nil {
+		rs.seen = make(map[string]bool)
+	}
+	key := string(rs.buf)
+	rs.seen[key] = true
+	rs.rules = append(rs.rules, keyedRule{key: key, Rule: Rule{
+		Antecedent: append([]int(nil), ante...),
+		Consequent: append([]int(nil), cons...),
+		Degree:     degree,
+		Support:    -1,
+	}})
+}
+
+func (e *ruleEngine) rulesFromCliquePair(clusters []*Cluster, q1, q2 []int, nominal []bool, co cooccurrence, rs *ruleSet) {
 	// assoc per consequent candidate: antecedent clusters strongly
 	// associated with it (Section 6.2). Distances are normalized by the
 	// consequent group's degree scale so one DegreeFactor applies across
@@ -348,17 +370,7 @@ func (e *ruleEngine) rulesFromCliquePair(clusters []*Cluster, q1, q2 []int, nomi
 					degree = d
 				}
 			}
-			key := ruleKey(ante, cons)
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			*out = append(*out, Rule{
-				Antecedent: append([]int(nil), ante...),
-				Consequent: append([]int(nil), cons...),
-				Degree:     degree,
-				Support:    -1,
-			})
+			rs.add(ante, cons, degree)
 		})
 	})
 }
@@ -387,8 +399,10 @@ func forEachSubset(pool []int, maxSize int, fn func([]int)) {
 	rec(0)
 }
 
-func ruleKey(ante, cons []int) string {
-	buf := make([]byte, 0, (len(ante)+len(cons))*3+1)
+// ruleKey identifies a rule by its (antecedent, consequent) cluster IDs.
+func ruleKey(ante, cons []int) string { return string(appendRuleKey(nil, ante, cons)) }
+
+func appendRuleKey(buf []byte, ante, cons []int) []byte {
 	for _, id := range ante {
 		buf = appendUvarint(buf, uint64(id))
 	}
@@ -396,7 +410,7 @@ func ruleKey(ante, cons []int) string {
 	for _, id := range cons {
 		buf = appendUvarint(buf, uint64(id))
 	}
-	return string(buf)
+	return buf
 }
 
 func appendUvarint(buf []byte, v uint64) []byte {
@@ -436,6 +450,6 @@ func (m *Miner) phase2(clusters []*Cluster, nominal []bool, co cooccurrence) ([]
 	for g := range d0 {
 		d0[g] = m.opt.diameterFor(g)
 	}
-	e := &ruleEngine{opt: m.opt.Query(), numGroups: m.part.NumGroups(), d0: d0}
+	e := &ruleEngine{opt: m.opt.QueryOptions, numGroups: m.part.NumGroups(), d0: d0}
 	return e.run(clusters, nominal, co)
 }

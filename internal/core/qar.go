@@ -67,7 +67,7 @@ func (q *QARMiner) Mine() (*QARResult, error) {
 	// Phase II scan: each tuple becomes the itemset of its per-group
 	// nearest-cluster memberships (Section 4.3.2); cluster IDs double as
 	// item identifiers.
-	asn := newAssigner(m.part, clusters, m.membershipCaps(m.nominalGroups()))
+	asn := newAssigner(m.part, clusters, m.membershipCaps(nominalGroupsOf(m.part)))
 	groups := m.part.NumGroups()
 	proj := make([][]float64, groups)
 	for g := range proj {

@@ -70,7 +70,7 @@ func kitchenRelation(rng *rand.Rand, n int) *relation.Relation {
 // kitchenQuery is the base (no modes) query configuration for the
 // kitchen relation.
 func kitchenQuery() QueryOptions {
-	q := plantedOptions().Query()
+	q := plantedOptions().QueryOptions
 	q.DegreeFactor = 1
 	return q
 }
@@ -192,6 +192,60 @@ func TestQueryModesAreDeterministicPostProcessing(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// kitchenIntervalRelation is kitchenRelation with Job as an interval
+// attribute (codes 0, 10 and 20, farther apart than d0), so Mine can
+// run without the post-scan nominal groups need while the group names
+// of the mode table still resolve.
+func kitchenIntervalRelation(rng *rand.Rand, n int) *relation.Relation {
+	nominal := kitchenRelation(rng, n)
+	r := relation.NewRelation(relation.MustSchema(
+		relation.Attribute{Name: "Job", Kind: relation.Interval},
+		relation.Attribute{Name: "Age", Kind: relation.Interval},
+		relation.Attribute{Name: "Salary", Kind: relation.Interval},
+	))
+	if err := nominal.Scan(func(_ int, tuple []float64) error {
+		return r.Append([]float64{tuple[0] * 10, tuple[1], tuple[2]})
+	}); err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// TestQueryModesMineMatchesQuery extends ingest|query ≡ mine to the
+// query modes: Mine applies the modes of its embedded QueryOptions
+// exactly as QuerySummary does over an Ingest of the same relation.
+func TestQueryModesMineMatchesQuery(t *testing.T) {
+	rel := kitchenIntervalRelation(rand.New(rand.NewSource(53)), 400)
+	part := relation.SingletonPartitioning(rel.Schema())
+	for _, mode := range modeTable() {
+		opt := plantedOptions()
+		opt.PostScan = false
+		opt.QueryOptions = kitchenQuery()
+		mode.mut(&opt.QueryOptions)
+		m, err := NewMiner(rel, part, opt)
+		if err != nil {
+			t.Fatalf("%s NewMiner: %v", mode.name, err)
+		}
+		mined, err := m.Mine()
+		if err != nil {
+			t.Fatalf("%s Mine: %v", mode.name, err)
+		}
+		s, err := Ingest(rel, part, opt)
+		if err != nil {
+			t.Fatalf("%s Ingest: %v", mode.name, err)
+		}
+		queried, err := QuerySummary(s, opt.QueryOptions)
+		if err != nil {
+			t.Fatalf("%s QuerySummary: %v", mode.name, err)
+		}
+		if len(queried.Rules) == 0 {
+			t.Fatalf("%s: differential degenerated: no rules", mode.name)
+		}
+		sameClusterGeometry(t, mined.Clusters, queried.Clusters, mode.name)
+		sameModeOutput(t, mined, queried, mode.name+" mine vs query")
 	}
 }
 
@@ -398,7 +452,7 @@ func TestConvictionSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	q := opt.Query()
+	q := opt.QueryOptions
 	q.Measures = true
 	res, err := QuerySummary(s, q)
 	if err != nil {
@@ -445,7 +499,7 @@ func TestQueryModeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	q := opt.Query()
+	q := opt.QueryOptions
 	q.AntecedentGroups = []string{"NoSuchGroup"}
 	if _, err := QuerySummary(s, q); err == nil {
 		t.Error("unknown group accepted")

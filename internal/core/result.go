@@ -82,12 +82,14 @@ func (res *Result) DescribeRule(r Rule, rel relation.Source, part *relation.Part
 }
 
 // Mine runs the full pipeline: Phase I clustering, the optional
-// descriptive post-scan, Phase II rule formation, and the optional
-// candidate-support rescan. Both phases parallelize across
+// descriptive post-scan, Phase II rule formation, the optional
+// candidate-support rescan, and last the query modes of the embedded
+// QueryOptions (measures, group filters, sweep, top-k) exactly as
+// QuerySummary applies them. Both phases parallelize across
 // Options.Workers with output bit-identical to the serial path;
 // Result.PhaseII.Workers records the effective Phase II parallelism.
 func (m *Miner) Mine() (*Result, error) {
-	nominal := m.nominalGroups()
+	nominal := nominalGroupsOf(m.part)
 	if !m.opt.PostScan {
 		for g, isNom := range nominal {
 			if isNom {
@@ -137,7 +139,21 @@ func (m *Miner) Mine() (*Result, error) {
 			res.Rules = kept
 		}
 	}
+	if err := res.applyQueryModes(m.opt.QueryOptions, m.groupIndex); err != nil {
+		return nil, err
+	}
 	return res, nil
+}
+
+// groupIndex resolves an attribute-group name of the partitioning, for
+// the group filters of the query modes.
+func (m *Miner) groupIndex(name string) (int, bool) {
+	for g := 0; g < m.part.NumGroups(); g++ {
+		if m.part.Group(g).Name == name {
+			return g, true
+		}
+	}
+	return 0, false
 }
 
 // membershipCaps returns the per-group maximum centroid distance for
@@ -154,20 +170,4 @@ func (m *Miner) membershipCaps(nominal []bool) []float64 {
 		caps[g] = m.opt.diameterFor(g)
 	}
 	return caps
-}
-
-// nominalGroups flags attribute groups containing nominal attributes;
-// their geometry is the 0/1 discrete metric of Section 5.1, so they are
-// clustered with threshold 0 (Theorem 5.1) and measured via co-occurrence.
-func (m *Miner) nominalGroups() []bool {
-	out := make([]bool, m.part.NumGroups())
-	for g := range out {
-		for _, a := range m.part.Group(g).Attrs {
-			if m.rel.Schema().Attr(a).Kind == relation.Nominal {
-				out[g] = true
-				break
-			}
-		}
-	}
-	return out
 }

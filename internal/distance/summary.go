@@ -1,6 +1,9 @@
 package distance
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Summary is the minimal sufficient statistic for the cluster-level
 // measures: the tuple count N, per-dimension linear sum LS and the scalar
@@ -143,6 +146,25 @@ func ParseClusterMetric(s string) (ClusterMetric, bool) {
 		}
 	}
 	return 0, false
+}
+
+// MarshalText renders the metric by name, so JSON documents carry
+// "D2" rather than a bare enum value.
+func (m ClusterMetric) MarshalText() ([]byte, error) {
+	if m < D0 || m > D4 {
+		return nil, fmt.Errorf("distance: unknown cluster metric %d", int(m))
+	}
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText parses a metric name with ParseClusterMetric.
+func (m *ClusterMetric) UnmarshalText(text []byte) error {
+	v, ok := ParseClusterMetric(string(text))
+	if !ok {
+		return fmt.Errorf("unknown metric %q (want D0, D1, D2, D3 or D4)", text)
+	}
+	*m = v
+	return nil
 }
 
 // Between returns the metric's distance between the two cluster summaries.

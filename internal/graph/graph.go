@@ -7,7 +7,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Undirected is a simple undirected graph over vertices 0..n-1.
@@ -89,93 +88,26 @@ func (g *Undirected) check(u int) {
 // form trivial 1-cliques, which the paper counts as cliques by definition).
 // Cliques and their members are returned in sorted order.
 func (g *Undirected) MaximalCliques() [][]int {
-	var out [][]int
-	g.EnumerateMaximalCliques(func(c []int) bool {
-		out = append(out, append([]int(nil), c...))
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return lessIntSlices(out[i], out[j]) })
-	return out
-}
-
-// MaximalCliquesParallel returns exactly the cliques of MaximalCliques,
-// fanning the outer level of the degeneracy-ordered Bron–Kerbosch out
-// over workers goroutines. Each outer vertex roots an independent
-// subproblem (its candidate set is the later neighbours, its excluded
-// set the earlier ones), the recursion only reads the adjacency
-// structure, and every subproblem writes to its own result slot — so no
-// synchronization beyond the pool is needed, and the final sort makes
-// the output independent of completion order. workers <= 1 falls back
-// to the serial enumeration.
-func (g *Undirected) MaximalCliquesParallel(workers int) [][]int {
-	if workers <= 1 {
-		return g.MaximalCliques()
-	}
 	order := g.degeneracyOrder()
 	pos := make([]int, g.n)
 	for i, v := range order {
 		pos[v] = i
 	}
-	perRoot := make([][][]int, len(order))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	if workers > len(order) {
-		workers = len(order)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				v := order[i]
-				p, x := g.splitNeighbors(v, pos)
-				g.bronKerbosch([]int{v}, p, x, func(c []int) bool {
-					perRoot[i] = append(perRoot[i], append([]int(nil), c...))
-					return true
-				})
-			}
-		}()
-	}
-	for i := range order {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	var out [][]int
-	for _, cs := range perRoot {
-		out = append(out, cs...)
-	}
-	sort.Slice(out, func(i, j int) bool { return lessIntSlices(out[i], out[j]) })
-	return out
-}
-
-// EnumerateMaximalCliques streams maximal cliques to visit; returning
-// false stops the enumeration early. The callback's slice is reused and
-// must be copied if retained. Cliques are emitted with members sorted.
-func (g *Undirected) EnumerateMaximalCliques(visit func(clique []int) bool) {
-	order := g.degeneracyOrder()
-	pos := make([]int, g.n)
-	for i, v := range order {
-		pos[v] = i
-	}
 	r := make([]int, 0, g.n)
-	stopped := false
 	for _, v := range order {
-		if stopped {
-			return
-		}
 		p, x := g.splitNeighbors(v, pos)
 		r = append(r[:0], v)
-		if !g.bronKerbosch(r, p, x, visit) {
-			stopped = true
-		}
+		out = g.bronKerbosch(r, p, x, out)
 	}
+	sort.Slice(out, func(i, j int) bool { return lessIntSlices(out[i], out[j]) })
+	return out
 }
 
 // splitNeighbors partitions v's neighbours into the Bron–Kerbosch
 // candidate set P (later in the degeneracy order) and excluded set X
 // (earlier), both sorted ascending so the recursion — and therefore the
-// order cliques are streamed to visit — never inherits Go's randomized
+// order cliques are found in — never inherits Go's randomized
 // map-iteration order.
 func (g *Undirected) splitNeighbors(v int, pos []int) (p, x []int) {
 	for u := range g.adj[v] {
@@ -191,12 +123,13 @@ func (g *Undirected) splitNeighbors(v int, pos []int) (p, x []int) {
 }
 
 // bronKerbosch is the pivoted recursion. r is the current clique, p the
-// candidates, x the excluded set. Returns false to stop the enumeration.
-func (g *Undirected) bronKerbosch(r, p, x []int, visit func([]int) bool) bool {
+// candidates, x the excluded set. It appends every maximal clique found,
+// members sorted, to out and returns it.
+func (g *Undirected) bronKerbosch(r, p, x []int, out [][]int) [][]int {
 	if len(p) == 0 && len(x) == 0 {
 		c := append([]int(nil), r...)
 		sort.Ints(c)
-		return visit(c)
+		return append(out, c)
 	}
 	// Pivot: the vertex of P ∪ X with most neighbours in P.
 	pivot, best := -1, -1
@@ -232,9 +165,7 @@ func (g *Undirected) bronKerbosch(r, p, x []int, visit func([]int) bool) bool {
 				nx = append(nx, w)
 			}
 		}
-		if !g.bronKerbosch(append(r, v), np, nx, visit) {
-			return false
-		}
+		out = g.bronKerbosch(append(r, v), np, nx, out)
 		// Move v from P to X with an order-preserving delete: rebuilding
 		// P through a scratch set would reintroduce map-iteration order
 		// into the recursion.
@@ -247,7 +178,7 @@ func (g *Undirected) bronKerbosch(r, p, x []int, visit func([]int) bool) bool {
 		p = keep
 		x = append(x, v)
 	}
-	return true
+	return out
 }
 
 // degeneracyOrder returns vertices in degeneracy order (repeatedly remove
@@ -276,7 +207,7 @@ func (g *Undirected) degeneracyOrder() []int {
 		}
 		// Take the smallest vertex in the bucket rather than an arbitrary
 		// one: map iteration order would otherwise leak into the
-		// degeneracy order and hence into the order cliques are streamed.
+		// degeneracy order and hence into the order cliques are found.
 		v := -1
 		for u := range buckets[cur] {
 			if v < 0 || u < v {

@@ -96,21 +96,6 @@ func TestMaximalCliquesEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestEnumerateEarlyStop(t *testing.T) {
-	g := New(6)
-	for i := 0; i < 6; i += 2 {
-		g.AddEdge(i, i+1)
-	}
-	count := 0
-	g.EnumerateMaximalCliques(func(c []int) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("visited %d cliques after early stop, want 2", count)
-	}
-}
-
 // bruteForceCliques enumerates maximal cliques by testing all vertex
 // subsets — the oracle for the property test (n <= 12).
 func bruteForceCliques(g *Undirected) [][]int {
@@ -253,36 +238,5 @@ func TestDegeneracyOrderCoversAll(t *testing.T) {
 	}
 	if len(seen) != 5 {
 		t.Errorf("order repeats vertices: %v", order)
-	}
-}
-
-// TestMaximalCliquesParallelMatchesSerial checks that the fan-out over
-// outer Bron–Kerbosch roots returns exactly the serial clique list —
-// same cliques, same order — on random graphs of varying density and at
-// worker counts beyond the vertex count.
-func TestMaximalCliquesParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(40)
-		g := New(n)
-		edges := rng.Intn(3 * n)
-		for e := 0; e < edges; e++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		want := g.MaximalCliques()
-		for _, workers := range []int{2, 4, n + 3} {
-			got := g.MaximalCliquesParallel(workers)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("trial %d, workers=%d: cliques diverged\nserial:   %v\nparallel: %v",
-					trial, workers, want, got)
-			}
-		}
-	}
-}
-
-func TestMaximalCliquesParallelEmptyGraph(t *testing.T) {
-	g := New(0)
-	if got := g.MaximalCliquesParallel(4); len(got) != 0 {
-		t.Fatalf("cliques of empty graph = %v", got)
 	}
 }

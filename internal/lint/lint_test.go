@@ -28,7 +28,7 @@ func TestNonDeterm(t *testing.T) {
 func TestRawGoroutine(t *testing.T) {
 	linttest.Run(t, "testdata", lint.RawGoroutineAnalyzer,
 		"internal/pipeline", // true positives + escape hatch
-		"internal/graph",    // negative: sanctioned package
+		"internal/graph",    // positive: not sanctioned (clique enumeration is serial)
 		"internal/core",     // negative: sanctioned parallel.go file
 		"internal/ingest",   // batched-pipeline shapes outside the pool file
 		"internal/server",   // negative: sanctioned serving layer (flight/deadline/listener shapes)

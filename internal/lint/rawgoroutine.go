@@ -12,10 +12,10 @@ import (
 
 // RawGoroutineAnalyzer flags `go` statements in the mining packages
 // outside the sanctioned concurrency primitives. All parallelism in the
-// miner is supposed to flow through the worker-pool helpers
-// (internal/core/parallel.go's parallelFor and the clique fan-out in
-// internal/graph): those merge per-task results in task order, which is
-// what makes the output bit-identical at any worker count. A goroutine
+// miner is supposed to flow through the worker-pool helpers of
+// internal/core/parallel.go (parallelFor and the Phase I stripe lanes):
+// those merge per-task results in task order, which is what makes the
+// output bit-identical at any worker count. A goroutine
 // spawned anywhere else has no such merge discipline and is exactly how
 // ordering and data races sneak in.
 //
@@ -29,7 +29,7 @@ import (
 // covers their correctness.
 //
 // Sanctioned locations are configured with -sanction, a comma-separated
-// list of package-path suffixes ("internal/graph") or file suffixes
+// list of package-path suffixes ("internal/server") or file suffixes
 // ("internal/core/parallel.go"). One-off intentional goroutines can be
 // annotated `//lint:allow rawgoroutine`.
 var RawGoroutineAnalyzer = &analysis.Analyzer{
@@ -49,7 +49,7 @@ func init() {
 		`(^|/)internal/`,
 		"regexp of package import paths the analyzer applies to")
 	RawGoroutineAnalyzer.Flags.StringVar(&rawGoroutineSanction, "sanction",
-		"internal/core/parallel.go,internal/graph,internal/server,internal/storage,internal/cluster",
+		"internal/core/parallel.go,internal/server,internal/storage,internal/cluster",
 		"comma-separated package or file suffixes where goroutines are sanctioned")
 }
 

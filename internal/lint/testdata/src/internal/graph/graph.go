@@ -1,6 +1,6 @@
-// Negative fixture for rawgoroutine: internal/graph is a sanctioned
-// package (its clique fan-out owns its own worker pool), so goroutines
-// here are not flagged.
+// Fixture for rawgoroutine: internal/graph is not sanctioned — clique
+// enumeration is serial and Phase II fans out only through parallelFor
+// in internal/core — so a goroutine here is flagged.
 package graph
 
 import "sync"
@@ -9,7 +9,7 @@ func CliqueWorkers(n int, fn func(int)) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int) { // want `raw goroutine outside the sanctioned worker pools`
 			defer wg.Done()
 			fn(i)
 		}(i)

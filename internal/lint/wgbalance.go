@@ -19,8 +19,8 @@ import (
 //   - wg.Done not deferred. A panic (or an early return added later)
 //     skips the Done and Wait deadlocks the whole pipeline. `defer
 //     wg.Done()` as the goroutine's first statement is the sanctioned
-//     shape — it is what internal/core/parallel.go and internal/graph
-//     do, and what the worker-pool merge discipline assumes.
+//     shape — it is what internal/core/parallel.go does, and what the
+//     worker-pool merge discipline assumes.
 //
 // The check is intraprocedural over each `go func() {...}()` body;
 // Done calls routed through helpers are not seen. An intentional

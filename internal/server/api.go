@@ -25,89 +25,34 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/distance"
 )
 
-// queryRequest is the JSON body of POST /v1/summaries/{name}/query.
-// Every field is optional; absent fields take the library defaults
-// (core.DefaultQueryOptions), so `{}` is the default query. Workers
-// only sets execution parallelism, capped at GOMAXPROCS — results are
-// bit-identical at any count, which is why it is absent from the
-// canonical cache key.
-type queryRequest struct {
-	Metric            *string  `json:"metric,omitempty"`
-	FrequencyFraction *float64 `json:"frequencyFraction,omitempty"`
-	MinClusterSize    *int     `json:"minClusterSize,omitempty"`
-	DegreeFactor      *float64 `json:"degreeFactor,omitempty"`
-	GraphFactor       *float64 `json:"graphFactor,omitempty"`
-	MaxAntecedent     *int     `json:"maxAntecedent,omitempty"`
-	MaxConsequent     *int     `json:"maxConsequent,omitempty"`
-	GlobalRefine      *bool    `json:"globalRefine,omitempty"`
-	PruneImages       *bool    `json:"pruneImages,omitempty"`
-	// Query modes (see core.QueryOptions). Group filters are
-	// normalized server-side (sorted, deduplicated), so two spellings
-	// of one filter share a cache entry; sweep factors are not — their
-	// order is part of the request contract.
-	Measures         *bool     `json:"measures,omitempty"`
-	AntecedentGroups []string  `json:"antecedentGroups,omitempty"`
-	ConsequentGroups []string  `json:"consequentGroups,omitempty"`
-	SweepFactors     []float64 `json:"sweepFactors,omitempty"`
-	TopK             *int      `json:"topK,omitempty"`
-	Workers          int       `json:"workers,omitempty"`
-}
-
-// options resolves the request against the defaults and validates it.
-func (qr queryRequest) options() (core.QueryOptions, error) {
+// decodeQuery parses the JSON body of the query and diff endpoints: a
+// core.QueryOptions document decoded onto core.DefaultQueryOptions, so
+// absent fields keep their defaults and `{}` (or an empty body) is the
+// default query. Unknown fields are rejected. Group filters are
+// normalized (sorted, deduplicated), so two spellings of one filter
+// share a cache entry; sweep factors are not — their order is part of
+// the request contract. Workers only sets execution parallelism and is
+// capped at GOMAXPROCS — results are bit-identical at any count, which
+// is why it is absent from the canonical cache key.
+func decodeQuery(body []byte) (core.QueryOptions, error) {
 	q := core.DefaultQueryOptions()
-	if qr.Metric != nil {
-		m, ok := distance.ParseClusterMetric(*qr.Metric)
-		if !ok {
-			return q, fmt.Errorf("unknown metric %q (want D0, D1 or D2)", *qr.Metric)
+	if len(bytes.TrimSpace(body)) > 0 {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&q); err != nil {
+			return q, fmt.Errorf("parsing query options: %w", err)
 		}
-		q.Metric = m
 	}
-	if qr.FrequencyFraction != nil {
-		q.FrequencyFraction = *qr.FrequencyFraction
-	}
-	if qr.MinClusterSize != nil {
-		q.MinClusterSize = *qr.MinClusterSize
-	}
-	if qr.DegreeFactor != nil {
-		q.DegreeFactor = *qr.DegreeFactor
-	}
-	if qr.GraphFactor != nil {
-		q.GraphFactor = *qr.GraphFactor
-	}
-	if qr.MaxAntecedent != nil {
-		q.MaxAntecedent = *qr.MaxAntecedent
-	}
-	if qr.MaxConsequent != nil {
-		q.MaxConsequent = *qr.MaxConsequent
-	}
-	if qr.GlobalRefine != nil {
-		q.GlobalRefine = *qr.GlobalRefine
-	}
-	if qr.PruneImages != nil {
-		q.PruneImages = *qr.PruneImages
-	}
-	if qr.Measures != nil {
-		q.Measures = *qr.Measures
-	}
-	q.AntecedentGroups = qr.AntecedentGroups
-	q.ConsequentGroups = qr.ConsequentGroups
-	q.SweepFactors = qr.SweepFactors
-	if qr.TopK != nil {
-		q.TopK = *qr.TopK
-	}
-	q.Workers = clampWorkers(qr.Workers)
 	core.NormalizeGroupFilters(&q)
-	if err := q.Validate(); err != nil {
-		return q, err
-	}
-	return q, nil
+	q.Workers = clampWorkers(q.Workers)
+	return q, q.Validate()
 }
 
 // ingestResponse acknowledges POST /v1/ingest.

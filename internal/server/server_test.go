@@ -436,8 +436,13 @@ func TestQueryTimeout(t *testing.T) {
 
 	close(release)
 	srv.testHookExec.Store(nil)
+	// Wait for the flight to park its result: QueryExecutions counts an
+	// execution when it starts, before it renders and caches.
+	q, _ := decodeQuery(nil)
+	version, _ := srv.catalog.version("s")
+	key := cacheKey("s", version, q.CanonicalKey())
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Metrics().QueryExecutions.Load() == 0 {
+	for _, cached := srv.cache.get(key); !cached; _, cached = srv.cache.get(key) {
 		if time.Now().After(deadline) {
 			t.Fatal("abandoned flight never completed")
 		}
@@ -675,9 +680,8 @@ func TestIngestDefaultWorkers(t *testing.T) {
 // parse a huge "workers" down to GOMAXPROCS, and the served bytes equal
 // a workers=1 request's — the count is execution parallelism only.
 func TestRequestWorkersClamped(t *testing.T) {
-	const huge = 1 << 20
 	cores := runtime.GOMAXPROCS(0)
-	if q, err := (queryRequest{Workers: huge}).options(); err != nil || q.Workers > cores {
+	if q, err := decodeQuery([]byte(`{"workers": 1048576}`)); err != nil || q.Workers > cores {
 		t.Errorf("query options: Workers=%d err=%v, want <= %d", q.Workers, err, cores)
 	}
 	srv, ts := newTestServer(t, Config{})
